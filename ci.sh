@@ -45,13 +45,13 @@ cargo build --release
 echo "==> release build (serial: --no-default-features)"
 cargo build --release --no-default-features
 
-echo "==> test suite"
-cargo test -q
+echo "==> test suite (every workspace member, not only the root package)"
+cargo test -q --workspace
 
 echo "==> test suite (validate + failpoints: engine audits and fault injection)"
 # Also re-runs the HNSW recall-vs-exact parity and determinism suite
 # (tests/knn_hnsw.rs) with the engine's self-audits enabled.
-cargo test -q --features validate,failpoints
+cargo test -q --workspace --features validate,failpoints
 
 echo "==> simd feature (AVX2 kernels: clippy clean, bit-identical to scalar)"
 # The only unsafe code in the workspace lives behind this off-by-default

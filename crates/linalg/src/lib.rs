@@ -51,4 +51,4 @@ pub use error::LinalgError;
 pub use qr::{least_squares, qr_decompose, QrDecomposition};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use symeig::jacobi_eigen;
-pub use tridiag::{tridiag_eigen, TridiagEigen};
+pub use tridiag::{tridiag_eigen, tridiag_eigen_last_row, TridiagEigen, TridiagLastRow};

@@ -13,12 +13,28 @@ pub struct TridiagEigen {
     pub eigenvectors: DenseMatrix,
 }
 
+/// Eigenvalues of a symmetric tridiagonal matrix plus the last row of its
+/// eigenvector matrix — everything a Lanczos convergence check reads.
+///
+/// Produced by [`tridiag_eigen_last_row`]; every entry is bit-identical to
+/// the corresponding entry of [`tridiag_eigen`]'s result.
+#[derive(Debug, Clone)]
+pub struct TridiagLastRow {
+    /// Eigenvalues in ascending order.
+    pub eigenvalues: Vec<f64>,
+    /// `last_row[j]` is the last component of the unit eigenvector for
+    /// `eigenvalues[j]` (the `yₘ` of the Lanczos `β·|yₘ|` residual bound).
+    pub last_row: Vec<f64>,
+}
+
 /// Computes all eigenpairs of the symmetric tridiagonal matrix with main
 /// diagonal `diag` and off-diagonal `offdiag` (`offdiag.len() == diag.len() - 1`).
 ///
-/// Uses the implicit QL algorithm with Wilkinson shifts — O(n²) per sweep,
-/// O(n³) total including eigenvector accumulation, which is fine for the
-/// small (≤ a few hundred) tridiagonals produced by Lanczos.
+/// Uses the implicit QL algorithm with Wilkinson shifts: O(n²) for the
+/// eigenvalues, plus O(n) per Givens rotation to accumulate the full
+/// eigenvector matrix, O(n³) in total. Iterative eigensolvers should call
+/// this once, to assemble Ritz vectors, and use [`tridiag_eigen_last_row`]
+/// (O(n²)) for their repeated convergence checks.
 ///
 /// # Errors
 ///
@@ -29,11 +45,77 @@ pub struct TridiagEigen {
 /// - [`LinalgError::NonFinite`] when the input contains NaN or ±∞.
 pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagEigen, LinalgError> {
     let n = diag.len();
+    let mut d = checked_copy(diag, offdiag)?;
+    let mut e: Vec<f64> = offdiag.to_vec();
+    // Z stored transposed (`zt` row j is column j of Z), so each rotation
+    // updates two contiguous rows.
+    let mut zt = DenseMatrix::identity(n);
+    let zt_data = zt.as_mut_slice();
+    implicit_ql(&mut d, &mut e, |i, s, c| {
+        let (lo, hi) = zt_data.split_at_mut((i + 1) * n);
+        let (zi, zi1) = (&mut lo[i * n..], &mut hi[..n]);
+        for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+            let f = *b;
+            let zki = *a;
+            *b = s * zki + c * f;
+            *a = c * zki - s * f;
+        }
+    })?;
+
+    // Sort ascending, permuting eigenvectors to match.
+    let order = ascending_order(&d);
+    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let mut eigenvectors = DenseMatrix::zeros(n, n);
+    let out = eigenvectors.as_mut_slice();
+    for (new_j, &old_j) in order.iter().enumerate() {
+        for (row, &v) in out.chunks_exact_mut(n).zip(zt.row(old_j)) {
+            row[new_j] = v;
+        }
+    }
+    Ok(TridiagEigen {
+        eigenvalues,
+        eigenvectors,
+    })
+}
+
+/// Eigenvalues and the last eigenvector row of the same tridiagonal as
+/// [`tridiag_eigen`], bit-identical to the corresponding entries of its
+/// result, in O(n²): the QL rotations act on each row of the eigenvector
+/// matrix separately, so only row `n − 1` is tracked.
+///
+/// # Errors
+///
+/// Same as [`tridiag_eigen`].
+pub fn tridiag_eigen_last_row(
+    diag: &[f64],
+    offdiag: &[f64],
+) -> Result<TridiagLastRow, LinalgError> {
+    let n = diag.len();
+    let mut d = checked_copy(diag, offdiag)?;
+    let mut e: Vec<f64> = offdiag.to_vec();
+    // Row n − 1 of the identity.
+    let mut z = vec![0.0; n];
+    if let Some(last) = z.last_mut() {
+        *last = 1.0;
+    }
+    implicit_ql(&mut d, &mut e, |i, s, c| {
+        let f = z[i + 1];
+        let zi = z[i];
+        z[i + 1] = s * zi + c * f;
+        z[i] = c * zi - s * f;
+    })?;
+    let order = ascending_order(&d);
+    Ok(TridiagLastRow {
+        eigenvalues: order.iter().map(|&i| d[i]).collect(),
+        last_row: order.iter().map(|&i| z[i]).collect(),
+    })
+}
+
+/// Validates the tridiagonal and returns a copy of `diag` for QL to work on.
+fn checked_copy(diag: &[f64], offdiag: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let n = diag.len();
     if n == 0 {
-        return Ok(TridiagEigen {
-            eigenvalues: Vec::new(),
-            eigenvectors: DenseMatrix::zeros(0, 0),
-        });
+        return Ok(Vec::new());
     }
     if offdiag.len() + 1 != n {
         return Err(LinalgError::InvalidArgument {
@@ -49,12 +131,31 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagEigen, Lina
             context: "tridiag_eigen input",
         });
     }
+    Ok(diag.to_vec())
+}
 
-    let mut d = diag.to_vec();
+/// Indices of `d` in ascending order (stable for ties).
+fn ascending_order(d: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..d.len()).collect();
+    order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
+    order
+}
+
+/// Implicit QL with Wilkinson shifts on diagonal `d` and off-diagonal `e`
+/// (`e.len() + 1 == d.len()`, or both empty). On return `d` holds the
+/// unsorted eigenvalues. Every Givens rotation is reported as
+/// `rotate(i, s, c)`, acting on columns `i` and `i + 1` of the eigenvector
+/// matrix Z: `(z_i, z_{i+1}) ← (c·z_i − s·z_{i+1}, s·z_i + c·z_{i+1})` in
+/// each row. The rotations never read Z, so a caller may track any subset
+/// of its rows.
+fn implicit_ql(
+    d: &mut [f64],
+    e: &mut Vec<f64>,
+    mut rotate: impl FnMut(usize, f64, f64),
+) -> Result<(), LinalgError> {
+    let n = d.len();
     // e is padded with a trailing zero per the classic tqli formulation.
-    let mut e: Vec<f64> = offdiag.to_vec();
     e.push(0.0);
-    let mut z = DenseMatrix::identity(n);
 
     for l in 0..n {
         let mut iter = 0usize;
@@ -86,7 +187,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagEigen, Lina
             let mut c = 1.0;
             let mut p = 0.0;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -103,13 +204,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagEigen, Lina
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z.get(k, i + 1);
-                    let zki = z.get(k, i);
-                    z.set(k, i + 1, s * zki + c * f);
-                    z.set(k, i, c * zki - s * f);
-                }
+                rotate(i, s, c);
             }
             // cirstag-lint: allow(float-discipline) -- exact-zero off-diagonal test from the EISPACK tql2 recurrence
             if r == 0.0 && m > l + 1 {
@@ -120,21 +215,7 @@ pub fn tridiag_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagEigen, Lina
             e[m] = 0.0;
         }
     }
-
-    // Sort ascending, permuting eigenvector columns to match.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut eigenvectors = DenseMatrix::zeros(n, n);
-    for (new_j, &old_j) in order.iter().enumerate() {
-        for i in 0..n {
-            eigenvectors.set(i, new_j, z.get(i, old_j));
-        }
-    }
-    Ok(TridiagEigen {
-        eigenvalues,
-        eigenvectors,
-    })
+    Ok(())
 }
 
 #[cfg(test)]

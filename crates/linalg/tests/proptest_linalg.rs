@@ -1,11 +1,33 @@
 //! Property-based tests for the linear-algebra primitives.
 
-use cirstag_linalg::{jacobi_eigen, tridiag_eigen, CooMatrix, CsrMatrix, DenseMatrix};
+use cirstag_linalg::{
+    jacobi_eigen, tridiag_eigen, tridiag_eigen_last_row, CooMatrix, CsrMatrix, DenseMatrix,
+};
 use proptest::prelude::*;
 
 fn arb_dense(rows: usize, cols: usize) -> impl Strategy<Value = DenseMatrix> {
     proptest::collection::vec(-10.0f64..10.0, rows * cols)
         .prop_map(move |data| DenseMatrix::from_vec(rows, cols, data).expect("sized"))
+}
+
+/// Asserts that the last-row form of the tridiagonal eigensolver returns
+/// exactly the bits of the full form's eigenvalues and last eigenvector row.
+fn assert_last_row_bitwise(diag: &[f64], off: &[f64]) {
+    let full = tridiag_eigen(diag, off).unwrap();
+    let cheap = tridiag_eigen_last_row(diag, off).unwrap();
+    let n = diag.len();
+    prop_assert_eq!(cheap.eigenvalues.len(), n);
+    prop_assert_eq!(cheap.last_row.len(), n);
+    for j in 0..n {
+        prop_assert_eq!(
+            cheap.eigenvalues[j].to_bits(),
+            full.eigenvalues[j].to_bits()
+        );
+        prop_assert_eq!(
+            cheap.last_row[j].to_bits(),
+            full.eigenvectors.get(n - 1, j).to_bits()
+        );
+    }
 }
 
 fn arb_triplets(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
@@ -113,4 +135,56 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-8, "{} vs {}", a, b);
         }
     }
+
+    #[test]
+    fn tridiag_last_row_matches_full_bitwise(
+        n in 1usize..40,
+        diag in proptest::collection::vec(-5.0f64..5.0, 40),
+        off in proptest::collection::vec(-3.0f64..3.0, 39)
+    ) {
+        assert_last_row_bitwise(&diag[..n], &off[..n - 1]);
+    }
+
+    #[test]
+    fn tridiag_last_row_matches_full_across_splits(
+        n in 2usize..40,
+        diag in proptest::collection::vec(-5.0f64..5.0, 40),
+        off in proptest::collection::vec(-3.0f64..3.0, 39),
+        keep in proptest::collection::vec(0usize..3, 39)
+    ) {
+        // About a third of the off-diagonals are exactly zero, so QL splits
+        // the matrix into independent blocks.
+        let off: Vec<f64> = off[..n - 1]
+            .iter()
+            .zip(&keep)
+            .map(|(&v, &k)| if k == 0 { 0.0 } else { v })
+            .collect();
+        assert_last_row_bitwise(&diag[..n], &off);
+    }
+
+    #[test]
+    fn tridiag_last_row_matches_full_with_repeated_diagonal(
+        n in 1usize..40,
+        pick in proptest::collection::vec(0usize..3, 40),
+        off in proptest::collection::vec(-3.0f64..3.0, 39)
+    ) {
+        let levels = [-1.0, 0.5, 2.0];
+        let diag: Vec<f64> = pick[..n].iter().map(|&p| levels[p]).collect();
+        assert_last_row_bitwise(&diag, &off[..n - 1]);
+    }
+}
+
+#[test]
+fn tridiag_last_row_edge_cases_match_full_bitwise() {
+    let cases: [(&[f64], &[f64]); 4] = [
+        (&[7.0], &[]),
+        (&[3.0, 1.0, 2.0], &[0.0, 0.0]),
+        (&[2.0; 6], &[1.0; 5]),
+        (&[1.0, 1.0, 1.0, 1.0], &[0.0, 0.5, 0.0]),
+    ];
+    for (diag, off) in cases {
+        assert_last_row_bitwise(diag, off);
+    }
+    let empty = tridiag_eigen_last_row(&[], &[]).unwrap();
+    assert!(empty.eigenvalues.is_empty() && empty.last_row.is_empty());
 }

@@ -8,8 +8,9 @@
 //! costs one sparse product with `L_X` plus one Laplacian solve with `L_Y`.
 
 use crate::lanczos::XorShift;
+use crate::ritz::ritz_check;
 use crate::{LaplacianSolver, SolverError, SolverWorkspace};
-use cirstag_linalg::{tridiag_eigen, vecops, CsrMatrix, DenseMatrix};
+use cirstag_linalg::{vecops, CsrMatrix, DenseMatrix};
 
 /// Largest generalized eigenpairs of `L_X v = ζ L_Y v`.
 #[derive(Debug, Clone)]
@@ -189,45 +190,13 @@ fn geig_core(
         let beta = vecops::dot(w, lw).max(0.0).sqrt();
         let m = alphas.len();
         let breakdown = beta < 1e-12;
-        let done_budget = m >= max_iter;
-
-        if m >= s && (done_budget || breakdown || m.is_multiple_of(5)) {
-            let tri = tridiag_eigen(&alphas, &betas)?;
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by(|&a, &b| tri.eigenvalues[b].total_cmp(&tri.eigenvalues[a]));
-            let top = &order[..s];
-            let scale = tri
-                .eigenvalues
-                .iter()
-                .fold(0.0_f64, |acc, v| acc.max(v.abs()))
-                .max(1.0);
-            let tol = 1e-8;
-            let converged = breakdown
-                || top
-                    .iter()
-                    .all(|&jj| beta * tri.eigenvectors.get(m - 1, jj).abs() <= tol * scale);
-            if converged || done_budget {
-                let mut vectors = DenseMatrix::zeros(n, s);
-                let mut eigenvalues = Vec::with_capacity(s);
-                for (out_col, &jj) in top.iter().enumerate() {
-                    eigenvalues.push(tri.eigenvalues[jj]);
-                    for (b_idx, b) in basis.iter().take(m).enumerate() {
-                        let y = tri.eigenvectors.get(b_idx, jj);
-                        // cirstag-lint: allow(float-discipline) -- exact-zero skip of zero Ritz coefficients; a sparsity test, not a tolerance
-                        if y != 0.0 {
-                            for i in 0..n {
-                                let cur = vectors.get(i, out_col);
-                                vectors.set(i, out_col, cur + y * b[i]);
-                            }
-                        }
-                    }
-                }
-                return Ok(GeneralizedEigen {
-                    eigenvalues,
-                    eigenvectors: vectors,
-                    iterations: m,
-                });
-            }
+        let stop = m >= max_iter || breakdown;
+        if let Some(ritz) = ritz_check(&alphas, &betas, beta, stop, s, 1e-8, basis)? {
+            return Ok(GeneralizedEigen {
+                eigenvalues: ritz.eigenvalues,
+                eigenvectors: ritz.vectors,
+                iterations: m,
+            });
         }
         if breakdown {
             // Restart with a fresh B-orthogonal direction.

@@ -1,8 +1,9 @@
 //! Lanczos iteration with full reorthogonalization.
 
+use crate::ritz::ritz_check;
 use crate::{CsrOperator, LinearOperator, ScaledShiftedOperator, SolverError, SolverWorkspace};
 use cirstag_graph::Graph;
-use cirstag_linalg::{tridiag_eigen, vecops, DenseMatrix};
+use cirstag_linalg::{vecops, DenseMatrix};
 
 /// Deterministic xorshift64* stream used to seed start vectors.
 pub(crate) struct XorShift(u64);
@@ -173,58 +174,25 @@ where
         }
         let beta = vecops::norm2(w);
         let m = alphas.len();
-
-        // Convergence check (cheap relative to the operator applications for
-        // the sparse operators used here).
-        let done_budget = m >= max_iter;
         let breakdown = beta < 1e-14;
-        if m >= k && (done_budget || breakdown || m.is_multiple_of(5)) {
-            let tri = tridiag_eigen(&alphas, &betas)?;
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by(|&a, &b| tri.eigenvalues[b].total_cmp(&tri.eigenvalues[a]));
-            let top = &order[..k];
-            let scale = tri
-                .eigenvalues
-                .iter()
-                .fold(0.0_f64, |s, v| s.max(v.abs()))
-                .max(1.0);
-            let converged = breakdown
-                || top
-                    .iter()
-                    .all(|&j| beta * tri.eigenvectors.get(m - 1, j).abs() <= tol * scale);
-            if converged || done_budget {
-                // Assemble Ritz vectors v = Q y.
-                let mut vectors = DenseMatrix::zeros(n, k);
-                let mut eigenvalues = Vec::with_capacity(k);
-                for (out_col, &jj) in top.iter().enumerate() {
-                    eigenvalues.push(tri.eigenvalues[jj]);
-                    for (b_idx, b) in basis.iter().take(m).enumerate() {
-                        let y = tri.eigenvectors.get(b_idx, jj);
-                        // cirstag-lint: allow(float-discipline) -- exact-zero skip of zero Ritz coefficients; a sparsity test, not a tolerance
-                        if y != 0.0 {
-                            for i in 0..n {
-                                let cur = vectors.get(i, out_col);
-                                vectors.set(i, out_col, cur + y * b[i]);
-                            }
-                        }
+        let stop = m >= max_iter || breakdown;
+        if let Some(ritz) = ritz_check(&alphas, &betas, beta, stop, k, tol, basis)? {
+            let mut vectors = ritz.vectors;
+            // Normalize Ritz vectors (guards round-off drift).
+            for c in 0..k {
+                let mut col = vectors.column(c);
+                let nrm = vecops::normalize(&mut col);
+                if nrm > 0.0 {
+                    for (row, &x) in vectors.as_mut_slice().chunks_exact_mut(k).zip(&col) {
+                        row[c] = x;
                     }
                 }
-                // Normalize Ritz vectors (guards round-off drift).
-                for c in 0..k {
-                    let mut col = vectors.column(c);
-                    let nrm = vecops::normalize(&mut col);
-                    if nrm > 0.0 {
-                        for i in 0..n {
-                            vectors.set(i, c, col[i]);
-                        }
-                    }
-                }
-                return Ok(LanczosResult {
-                    eigenvalues,
-                    eigenvectors: vectors,
-                    iterations: m,
-                });
             }
+            return Ok(LanczosResult {
+                eigenvalues: ritz.eigenvalues,
+                eigenvectors: vectors,
+                iterations: m,
+            });
         }
         if breakdown {
             // Krylov space exhausted before finding k pairs: restart with a

@@ -42,6 +42,7 @@ mod lanczos;
 mod laplacian;
 mod operators;
 mod resistance;
+mod ritz;
 mod tree_precond;
 mod workspace;
 

@@ -2,6 +2,15 @@
 //! best-effort run, `1` (an `Err` from `run`/`parse_args`) for hard errors.
 
 use cirstag_cli::{exit_code, parse_args, run, Command, KnnChoice, RunStatus};
+use std::sync::{Mutex, MutexGuard};
+
+/// The failpoint registry is process-global: a test that arms one must not
+/// overlap a test that expects a clean analysis. Both hold this lock.
+static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+fn failpoint_lock() -> MutexGuard<'static, ()> {
+    FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cirstag_exit_codes_{name}"));
@@ -77,6 +86,7 @@ fn status_to_exit_code_mapping() {
 
 #[test]
 fn clean_analyze_run_is_clean() {
+    let _guard = failpoint_lock();
     let dir = temp_dir("clean");
     let netlist = generate(&dir);
     let status = run_silent(&analyze_cmd(netlist, false)).unwrap();
@@ -126,6 +136,7 @@ fn invalid_partition_counts_are_hard_errors() {
 fn degraded_best_effort_run_exits_two() {
     use cirstag_suite::core::failpoint as fp;
 
+    let _guard = failpoint_lock();
     let dir = temp_dir("degraded");
     let netlist = generate(&dir);
 

@@ -8,6 +8,16 @@ use cirstag_suite::embed::{knn_graph, spectral_embedding, KnnConfig, SpectralCon
 use cirstag_suite::gnn::{Activation, GnnModel, GraphContext, LayerSpec, TrainConfig};
 use cirstag_suite::graph::Graph;
 use cirstag_suite::linalg::DenseMatrix;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The failpoint registry is process-global. With the `failpoints` feature
+/// the tests in `mod failpoints` arm it, and a test running the solvers at
+/// the same time would trip (or use up) their failpoints, so every test
+/// here that runs the solvers holds this lock.
+fn serial_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn ring(n: usize) -> Graph {
     Graph::from_edges(
@@ -19,6 +29,7 @@ fn ring(n: usize) -> Graph {
 
 #[test]
 fn nan_embedding_is_rejected_not_propagated() {
+    let _serial = serial_lock();
     let g = ring(10);
     let mut emb = DenseMatrix::zeros(10, 2);
     emb.set(3, 1, f64::NAN);
@@ -30,6 +41,7 @@ fn nan_embedding_is_rejected_not_propagated() {
 
 #[test]
 fn constant_embedding_still_produces_finite_scores() {
+    let _serial = serial_lock();
     // A GNN that collapses every node to the same point: kNN distances all
     // hit the ε floor; the pipeline must survive and return finite scores.
     let g = ring(12);
@@ -47,6 +59,7 @@ fn constant_embedding_still_produces_finite_scores() {
 
 #[test]
 fn adversarial_embedding_with_extreme_outlier() {
+    let _serial = serial_lock();
     // One node mapped astronomically far away must not destabilize the rest.
     let n = 16;
     let g = ring(n);
@@ -75,6 +88,7 @@ fn adversarial_embedding_with_extreme_outlier() {
 
 #[test]
 fn disconnected_input_graph_is_a_typed_error() {
+    let _serial = serial_lock();
     let g = Graph::from_edges(8, &[(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)]).unwrap();
     let emb = DenseMatrix::zeros(8, 2);
     // Spectral embedding itself works on disconnected graphs, but Phase 3
@@ -160,6 +174,7 @@ fn knn_with_excessive_k_is_rejected() {
 
 #[test]
 fn spectral_embedding_on_single_edge_graph() {
+    let _serial = serial_lock();
     // Degenerate two-node graph: the embedding must still be well defined.
     let g = Graph::from_edges(2, &[(0, 1, 1.0)]).unwrap();
     let u = spectral_embedding(&g, 1, &SpectralConfig::default()).unwrap();
@@ -169,6 +184,7 @@ fn spectral_embedding_on_single_edge_graph() {
 
 #[test]
 fn best_effort_without_failures_matches_strict_bitwise() {
+    let _serial = serial_lock();
     // The BestEffort policy must be a pure superset: when nothing fails, it
     // takes exactly the same numeric path as Strict (bit-identical scores)
     // and reports a clean run.
@@ -205,6 +221,7 @@ fn best_effort_without_failures_matches_strict_bitwise() {
 
 #[test]
 fn zero_feature_weight_ignores_feature_garbage() {
+    let _serial = serial_lock();
     // With feature_weight = 0 the pipeline must not even look at feature
     // values — huge magnitudes are fine.
     let n = 12;
@@ -242,7 +259,6 @@ mod failpoints {
     use cirstag_suite::core::failpoint as fp;
     use cirstag_suite::core::{FailurePolicy, ReportExport, StabilityReport, StageBudget};
     use cirstag_suite::solver::{CgOptions, LadderRung, LaplacianSolver};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     struct Serial {
         _guard: MutexGuard<'static, ()>,
@@ -255,11 +271,7 @@ mod failpoints {
     }
 
     fn serial() -> Serial {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = serial_lock();
         fp::reset();
         Serial { _guard: guard }
     }
