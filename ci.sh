@@ -45,6 +45,11 @@ cargo build --release
 echo "==> release build (serial: --no-default-features)"
 cargo build --release --no-default-features
 
+echo "==> serial stack tests (golden hash + block-solver determinism, no pool)"
+# The serial `par` fallback must reproduce the same bits as the pool: the
+# golden analysis hash and the block/sketch bit-identity checks run on it.
+cargo test -q --no-default-features --test golden_numerics --test block_solver_determinism
+
 echo "==> test suite (every workspace member, not only the root package)"
 cargo test -q --workspace
 

@@ -6,6 +6,7 @@ use cirstag_graph::Graph;
 use cirstag_linalg::{vecops, DenseMatrix};
 
 /// Deterministic xorshift64* stream used to seed start vectors.
+#[derive(Clone)]
 pub(crate) struct XorShift(u64);
 
 impl XorShift {

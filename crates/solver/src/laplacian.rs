@@ -457,6 +457,16 @@ impl LaplacianSolver {
     /// poison the others — only the failing columns are re-solved on the
     /// next rung.
     ///
+    /// Concurrent calls on one solver are supported: each call checks the
+    /// pooled workspace out of its mutex, and a caller that finds it taken
+    /// starts a fresh one, so neither call sees the other's buffers and each
+    /// result is the same as from a serial call. The ladder position is
+    /// shared, though: when an escalating ([`LaplacianSolver::with_ladder`])
+    /// solver climbs a rung in one call, concurrent and later calls start on
+    /// that rung, so which rung answers a panel can depend on the schedule.
+    /// Callers that need schedule-independent bits from concurrent panels
+    /// (the resistance sketch) use a non-escalating solver.
+    ///
     /// # Errors
     ///
     /// - [`SolverError::DimensionMismatch`] when `b.nrows() != self.dim()`.
@@ -765,6 +775,7 @@ impl LaplacianSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cirstag_linalg::par;
 
     #[test]
     fn solve_satisfies_system() {
@@ -962,6 +973,47 @@ mod tests {
                         "col {j}, row {i}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_solve_block_calls_match_serial_calls_bitwise() {
+        // A 12×12 grid with mixed weights; eight panels of varied width race
+        // for the solver's one pooled workspace.
+        let side = 12;
+        let mut edges = Vec::new();
+        for r in 0..side {
+            for c in 0..side {
+                let i = r * side + c;
+                if c + 1 < side {
+                    edges.push((i, i + 1, 1.0 + ((r + c) % 4) as f64 * 0.5));
+                }
+                if r + 1 < side {
+                    edges.push((i, i + side, 0.5 + ((r * c) % 3) as f64));
+                }
+            }
+        }
+        let g = Graph::from_edges(side * side, &edges).unwrap();
+        let n = g.num_nodes();
+        let s = LaplacianSolver::with_tree_preconditioner(&g, CgOptions::default()).unwrap();
+        let panels: Vec<DenseMatrix> = (0..8)
+            .map(|p| {
+                let width = 1 + p % 5;
+                let mut b = DenseMatrix::zeros(n, width);
+                for j in 0..width {
+                    b.set((p * 7 + j * 13) % n, j, 1.0);
+                    b.set((p * 11 + j * 5 + 1) % n, j, -1.0);
+                }
+                b
+            })
+            .collect();
+        let serial: Vec<DenseMatrix> = panels.iter().map(|b| s.solve_block(b).unwrap()).collect();
+        let concurrent = par::map_indexed(panels.len(), |p| s.solve_block(&panels[p]).unwrap());
+        for (p, (a, c)) in serial.iter().zip(&concurrent).enumerate() {
+            assert_eq!(a.shape(), c.shape());
+            for (i, (x, y)) in a.as_slice().iter().zip(c.as_slice()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "panel {p}, entry {i}");
             }
         }
     }

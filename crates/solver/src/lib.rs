@@ -61,6 +61,6 @@ pub use lanczos::{
 };
 pub use laplacian::{LadderRung, LaplacianSolver, SolveEvent};
 pub use operators::{CsrOperator, LinearOperator, PanelOperator, ScaledShiftedOperator};
-pub use resistance::ResistanceEstimator;
+pub use resistance::{ResistanceEstimator, SKETCH_PANEL_WIDTH};
 pub use tree_precond::TreePreconditioner;
 pub use workspace::SolverWorkspace;

@@ -1,14 +1,23 @@
 //! Effective-resistance computation: exact and sketched.
 
+use std::sync::{Mutex, PoisonError};
+
 use crate::lanczos::XorShift;
 use crate::{LaplacianSolver, SolverError};
 use cirstag_graph::Graph;
 use cirstag_linalg::{par, DenseMatrix};
 
-/// Number of sketch right-hand sides advanced per block solve. Wide enough
-/// to amortize the CSR traversal across columns, narrow enough that the
-/// block-CG working set (a handful of `n × width` panels) stays cache-sized.
-const SKETCH_PANEL_WIDTH: usize = 32;
+/// Number of sketch right-hand sides solved together as one block-CG panel.
+///
+/// The probes are cut into panels of this width and the panels are solved
+/// concurrently. A wider panel shares each CSR traversal among more columns,
+/// but its converged columns keep riding the traversal until its slowest
+/// column finishes, and it leaves fewer panels to spread over the pool. For
+/// the 48-probe Phase-2 sketch, 12 (four panels) tied 8 for fastest of
+/// {8, 12, 16, 24, 32} at two threads and was within 10% of 16 at one. It
+/// is a constant, not a function of the pool size: the sketch's bits do not
+/// depend on it, and its schedule should not depend on the host either.
+pub const SKETCH_PANEL_WIDTH: usize = 12;
 
 /// Computes effective resistances `R_eff(p, q) = (e_p − e_q)ᵀ L⁺ (e_p − e_q)`
 /// over a connected graph.
@@ -46,9 +55,11 @@ pub struct ResistanceEstimator {
 #[derive(Debug)]
 enum Mode {
     Exact(Box<LaplacianSolver>),
-    /// Row-major `t × n` sketch already scaled by `1/√t`.
+    /// Node-major `n × t` sketch already scaled by `1/√t`: row `i` holds
+    /// node `i`'s `t` projections, so a query reads two contiguous rows.
     Sketch {
-        probes: Vec<Vec<f64>>,
+        rows: Vec<f64>,
+        probes: usize,
     },
 }
 
@@ -83,6 +94,9 @@ impl ResistanceEstimator {
         // Ranking-grade tolerance: resistance sketches feed η-score
         // orderings, so a 1e-6 relative residual is ample and much more
         // robust on ill-conditioned manifold Laplacians than the default.
+        // The solver is pinned to the tree rung (non-escalating): the panels
+        // below share it concurrently, and an escalating solver's rung would
+        // be shared across them too.
         let solver = LaplacianSolver::with_tree_preconditioner(
             g,
             crate::CgOptions {
@@ -91,42 +105,66 @@ impl ResistanceEstimator {
             },
         )?;
         let n = g.num_nodes();
-        let mut rng = XorShift::new(seed);
+        let edges = g.edges();
         let inv_sqrt_t = 1.0 / (num_probes as f64).sqrt();
-        // The Rademacher right-hand sides consume one shared RNG stream in
-        // probe order, so panels are materialized in that same order — the
-        // sketch stays bit-identical to the per-probe construction for any
-        // panel width and any thread count. The probes are streamed through
-        // the block solver in workspace-sized panels: every CG iteration
-        // advances a whole panel off a single CSR traversal, and column `j`
-        // of a block solve reproduces the scalar solve of probe `j` exactly.
-        let mut probes: Vec<Vec<f64>> = Vec::with_capacity(num_probes);
-        let mut start = 0;
-        while start < num_probes {
+        // The Rademacher right-hand sides consume one RNG stream in probe
+        // order, one sign per edge per probe. Every panel but the last is
+        // full, so panel `p` starts `p · W · |E|` draws into the stream; a
+        // serial pre-pass records the stream state at each panel start, and
+        // each panel rebuilds its own right-hand sides from that state with
+        // exactly the signs of the sequential construction.
+        let num_panels = num_probes.div_ceil(SKETCH_PANEL_WIDTH);
+        let mut rng = XorShift::new(seed);
+        let mut panel_rngs = Vec::with_capacity(num_panels);
+        for p in 0..num_panels {
+            if p > 0 {
+                for _ in 0..SKETCH_PANEL_WIDTH * edges.len() {
+                    rng.next_u64();
+                }
+            }
+            panel_rngs.push(rng.clone());
+        }
+        // Panels are independent block solves against one shared solver
+        // (`solve_block` checks out a workspace per call), so they fan out
+        // across the pool; the lowest failing panel's error surfaces. Column
+        // `j` of a block solve reproduces the scalar CG solve of probe `j`
+        // bit for bit for any panel partition and thread count, and a panel
+        // writes only its own probe columns of the sketch, so the sketch is
+        // independent of the schedule. Only the panels in flight hold
+        // right-hand sides or solutions.
+        let sketch = Mutex::new(vec![0.0; n * num_probes]);
+        par::try_map_indexed(num_panels, |p| {
+            let start = p * SKETCH_PANEL_WIDTH;
             let width = SKETCH_PANEL_WIDTH.min(num_probes - start);
+            let mut rng = panel_rngs[p].clone();
             let mut panel = DenseMatrix::zeros(n, width);
             let data = panel.as_mut_slice();
             for j in 0..width {
                 // b = Bᵀ W^{1/2} q with Rademacher q over edges.
-                for e in g.edges() {
+                for e in edges {
                     let s = rng.next_sign() * e.weight.sqrt();
                     data[e.u * width + j] += s;
                     data[e.v * width + j] -= s;
                 }
             }
             let x = solver.solve_block(&panel)?;
-            for j in 0..width {
-                let mut col = x.column(j);
-                for v in &mut col {
-                    *v *= inv_sqrt_t;
+            let mut rows = sketch.lock().unwrap_or_else(PoisonError::into_inner);
+            for (row, xr) in rows
+                .chunks_exact_mut(num_probes)
+                .zip(x.as_slice().chunks_exact(width))
+            {
+                for (z, &v) in row[start..start + width].iter_mut().zip(xr) {
+                    *z = v * inv_sqrt_t;
                 }
-                probes.push(col);
             }
-            start += width;
-        }
+            Ok::<(), SolverError>(())
+        })?;
         Ok(ResistanceEstimator {
             dim: n,
-            mode: Mode::Sketch { probes },
+            mode: Mode::Sketch {
+                rows: sketch.into_inner().unwrap_or_else(PoisonError::into_inner),
+                probes: num_probes,
+            },
         })
     }
 
@@ -158,10 +196,13 @@ impl ResistanceEstimator {
         }
         match &self.mode {
             Mode::Exact(solver) => solver.effective_resistance(p, q),
-            Mode::Sketch { probes } => {
+            Mode::Sketch { rows, probes } => {
+                // Summed in probe order: the η scores' pinned bits depend on it.
+                let row_p = &rows[p * probes..(p + 1) * probes];
+                let row_q = &rows[q * probes..(q + 1) * probes];
                 let mut acc = 0.0;
-                for row in probes {
-                    let d = row[p] - row[q];
+                for (a, b) in row_p.iter().zip(row_q) {
+                    let d = a - b;
                     acc += d * d;
                 }
                 Ok(acc)
@@ -295,17 +336,16 @@ mod tests {
 
     #[test]
     fn panel_streamed_sketch_matches_per_probe_solves_bitwise() {
-        // 37 probes over a 16-wide panel stream exercises two full panels
-        // plus a ragged tail; every probe must equal the historical
-        // one-solve-per-probe construction bit for bit.
+        // Two full panels plus a ragged one-probe tail; every probe must
+        // equal the historical one-solve-per-probe construction bit for bit.
         let g = grid(5);
-        let num_probes = 37;
+        let num_probes = 2 * SKETCH_PANEL_WIDTH + 1;
         let seed = 11;
         let est = ResistanceEstimator::sketched(&g, num_probes, seed).unwrap();
-        let Mode::Sketch { probes } = &est.mode else {
+        let Mode::Sketch { rows, probes } = &est.mode else {
             panic!("expected a sketched estimator");
         };
-        assert_eq!(probes.len(), num_probes);
+        assert_eq!(*probes, num_probes);
         let solver = LaplacianSolver::with_tree_preconditioner(
             &g,
             crate::CgOptions {
@@ -315,9 +355,10 @@ mod tests {
         )
         .unwrap();
         let n = g.num_nodes();
+        assert_eq!(rows.len(), n * num_probes);
         let mut rng = XorShift::new(seed);
         let inv_sqrt_t = 1.0 / (num_probes as f64).sqrt();
-        for (i, probe) in probes.iter().enumerate() {
+        for i in 0..num_probes {
             let mut b = vec![0.0; n];
             for e in g.edges() {
                 let s = rng.next_sign() * e.weight.sqrt();
@@ -328,8 +369,9 @@ mod tests {
             for v in &mut x {
                 *v *= inv_sqrt_t;
             }
-            for (row, (a, c)) in probe.iter().zip(&x).enumerate() {
-                assert_eq!(a.to_bits(), c.to_bits(), "probe {i}, row {row}");
+            for (node, c) in x.iter().enumerate() {
+                let a = rows[node * num_probes + i];
+                assert_eq!(a.to_bits(), c.to_bits(), "probe {i}, node {node}");
             }
         }
     }
