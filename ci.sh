@@ -58,6 +58,11 @@ echo "==> test suite (validate + failpoints: engine audits and fault injection)"
 # (tests/knn_hnsw.rs) with the engine's self-audits enabled.
 cargo test -q --workspace --features validate,failpoints
 
+echo "==> benchmark package (builds against the workspace crates, unit tests)"
+# cirbench/ is a package with its own workspace, so the workspace steps above
+# never compile it; an API change that breaks the benchmark fails here.
+cargo test -q --offline --manifest-path cirbench/Cargo.toml
+
 echo "==> simd feature (AVX2 kernels: clippy clean, bit-identical to scalar)"
 # The only unsafe code in the workspace lives behind this off-by-default
 # feature; tests/simd_parity.rs pins bitwise agreement with the scalar

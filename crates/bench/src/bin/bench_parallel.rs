@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use cirstag::{analyze_sweep, ArtifactCache, CirStag, CirStagConfig};
+use cirstag::{ArtifactCache, CirStag, CirStagConfig};
 use cirstag_embed::{knn_graph, HnswIndex, HnswParams, KnnConfig};
 use cirstag_graph::Graph;
 use cirstag_linalg::{par, vecops, DenseMatrix};
@@ -410,10 +410,14 @@ fn main() {
         }
     });
     let warm_ms = time_ms(1, || {
-        let mut cache = ArtifactCache::new();
-        std::hint::black_box(
-            analyze_sweep(&gsweep, None, &sweep_emb, &sweep_cfgs, &mut cache).expect("warm sweep"),
-        );
+        let cache = ArtifactCache::new();
+        for cfg in &sweep_cfgs {
+            std::hint::black_box(
+                CirStag::new(*cfg)
+                    .analyze_cached(&gsweep, None, &sweep_emb, &cache)
+                    .expect("warm sweep"),
+            );
+        }
     });
     println!(
         "{:>28} {:>8} {:>10.2}ms {:>10.2}ms {:>8.2}x  (cold vs cached sweep, {} configs)",
@@ -440,7 +444,7 @@ fn main() {
     // design and recomputes only the dirty region (plus halo viewers). Both
     // rows run on one core — the speedup is cache locality, not threads.
     {
-        use cirstag::{analyze_partitioned_cached, analyze_partitioned_cold};
+        use cirstag::{analyze_partitioned, analyze_partitioned_cached};
         use cirstag_circuit::{apply_delta, partition_graph, DeltaOp, NetlistDelta};
 
         let geco = grid(100);
@@ -465,7 +469,7 @@ fn main() {
             }],
         };
         let outcome = apply_delta(&geco, None, &delta, &partitioning).expect("apply bench delta");
-        let mut eco_cache = ArtifactCache::new();
+        let eco_cache = ArtifactCache::new();
         std::hint::black_box(
             analyze_partitioned_cached(
                 &eco_cfg,
@@ -475,13 +479,13 @@ fn main() {
                 &partitioning.assignment,
                 num_partitions,
                 halo_depth,
-                &mut eco_cache,
+                &eco_cache,
             )
             .expect("prime eco cache"),
         );
         let eco_cold_ms = time_ms(1, || {
             std::hint::black_box(
-                analyze_partitioned_cold(
+                analyze_partitioned(
                     &eco_cfg,
                     &outcome.graph,
                     None,
@@ -489,6 +493,8 @@ fn main() {
                     &partitioning.assignment,
                     num_partitions,
                     halo_depth,
+                    None,
+                    None,
                 )
                 .expect("cold eco run"),
             );
@@ -503,7 +509,7 @@ fn main() {
                 &partitioning.assignment,
                 num_partitions,
                 halo_depth,
-                &mut eco_cache,
+                &eco_cache,
             )
             .expect("warm eco delta run");
             eco_recomputed = report.recomputed().len();

@@ -21,14 +21,15 @@
 //! unchanged — partition-scoped validity is exactly stage-key validity on
 //! the partition's subgraph.
 //!
-//! The splice itself ([`SpliceBuffers`]) is allocation-free in steady
-//! state: score vectors and edge lists are arenas reused across deltas,
-//! pinned by the counting-allocator test in `crates/bench`.
+//! The splice itself ([`SpliceBuffers`]) is an arena that allocates only
+//! when it grows: a reset/splice/finish cycle on a warm arena performs zero
+//! heap allocations, pinned by the counting-allocator test in
+//! `crates/bench`. Each [`analyze_partitioned`] call builds a fresh arena.
 
 use crate::engine::fingerprint::{Fingerprint, Fingerprinter};
-use crate::engine::{run_pipeline_segmented, CacheRef};
+use crate::engine::run_pipeline;
 use crate::resilience::CancelToken;
-use crate::{ArtifactCache, CirStagConfig, CirStagError, SharedArtifactCache};
+use crate::{ArtifactCache, CirStagConfig, CirStagError};
 use cirstag_graph::Graph;
 use cirstag_linalg::DenseMatrix;
 use std::fmt::Write as _;
@@ -269,9 +270,9 @@ fn clamp_config(config: &CirStagConfig, m: usize) -> CirStagConfig {
     cfg
 }
 
-/// Reusable splice arena: global score vectors and the spliced edge list.
-/// Steady-state delta loops reuse one `SpliceBuffers` across re-analyses so
-/// the splice path performs zero heap allocations once warm.
+/// Splice arena: global score vectors and the spliced edge list. Once its
+/// capacity covers a design, a reset/splice/finish cycle performs zero heap
+/// allocations.
 #[derive(Debug, Default)]
 pub struct SpliceBuffers {
     node_scores: Vec<f64>,
@@ -384,8 +385,8 @@ impl PartitionedReport {
 
     /// Ids of partitions that recomputed at least one stage: the dirty set
     /// of a warm run (a cache miss on any cacheable stage), or every
-    /// partition of a cache-less run (`EcoCache::Cold` records neither hits
-    /// nor misses, so zero hits means nothing was replayed).
+    /// partition of a run without a cache (which records neither hits nor
+    /// misses, so zero hits means nothing was replayed).
     pub fn recomputed(&self) -> Vec<u32> {
         self.partitions
             .iter()
@@ -405,30 +406,25 @@ impl PartitionedReport {
     }
 }
 
-/// Cache binding for a partitioned run (mirrors the engine's `CacheRef`,
-/// which is crate-private and not reborrowable across loop iterations).
-pub enum EcoCache<'c> {
-    /// Uncached: every partition computes (the cold baseline).
-    Cold,
-    /// One tenant, exclusive borrow.
-    Exclusive(&'c mut ArtifactCache),
-    /// Many tenants, shared single-flight cache (the serve path).
-    Shared(&'c SharedArtifactCache),
-}
-
 /// Runs the partition-scoped pipeline: one sub-pipeline per partition (in
-/// partition-id order) spliced into a global report via `buffers`.
+/// partition-id order) spliced into a global report.
+///
+/// `cache` is `None` for the cold baseline, where every partition computes.
+/// With a cache, partitions whose stage fingerprints match stored entries
+/// replay them; the cache may be shared with concurrent runs (the serve
+/// `delta` path). `cancel`, when given, is polled at every stage boundary.
 ///
 /// Warm-vs-cold bit-identity: with the same `(config, graph, features,
 /// embedding, assignment, halo_depth)`, the report is byte-for-byte
-/// identical whatever `cache` binding is used and whatever subset of
-/// partitions replays — sub-pipelines are deterministic and cached stage
-/// artifacts replay their exact cold-run output.
+/// identical with or without a cache and whatever subset of partitions
+/// replays — sub-pipelines are deterministic and cached stage artifacts
+/// replay their exact cold-run output.
 ///
 /// # Errors
 ///
-/// Any [`CirStagError`] a sub-pipeline raises, plus the plan-validation
-/// errors of [`PartitionPlan::build`].
+/// Any [`CirStagError`] a sub-pipeline raises (including
+/// [`CirStagError::Cancelled`] when `cancel` fires), plus the
+/// plan-validation errors of [`PartitionPlan::build`].
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_partitioned(
     config: &CirStagConfig,
@@ -438,9 +434,8 @@ pub fn analyze_partitioned(
     assignment: &[u32],
     num_partitions: usize,
     halo_depth: usize,
-    mut cache: EcoCache<'_>,
+    cache: Option<&ArtifactCache>,
     cancel: Option<&CancelToken>,
-    buffers: &mut SpliceBuffers,
 ) -> Result<PartitionedReport, CirStagError> {
     let plan = PartitionPlan::build(
         graph,
@@ -450,8 +445,8 @@ pub fn analyze_partitioned(
         num_partitions,
         halo_depth,
     )?;
-    let n = graph.num_nodes();
-    buffers.reset(n);
+    let mut buffers = SpliceBuffers::new();
+    buffers.reset(graph.num_nodes());
 
     let mut records = Vec::with_capacity(plan.views.len());
     let mut degraded = false;
@@ -471,16 +466,12 @@ pub fn analyze_partitioned(
         let _ = write!(segment, "partition/{}", view.id);
         // cirstag-lint: allow(nondeterminism) -- recompute-report wall-clock diagnostics only; excluded from the deterministic payload
         let sub_t0 = Instant::now();
-        let sub = run_pipeline_segmented(
+        let sub = run_pipeline(
             &cfg,
             &view.subgraph,
             sub_features.as_ref(),
             &sub_embedding,
-            match &mut cache {
-                EcoCache::Cold => CacheRef::None,
-                EcoCache::Exclusive(c) => CacheRef::Exclusive(c),
-                EcoCache::Shared(s) => CacheRef::Shared(s),
-            },
+            cache,
             cancel,
             Some(&segment),
         )?;
@@ -503,8 +494,8 @@ pub fn analyze_partitioned(
     buffers.finish();
 
     Ok(PartitionedReport {
-        node_scores: buffers.node_scores().to_vec(),
-        edge_scores: buffers.edge_scores().to_vec(),
+        node_scores: buffers.node_scores,
+        edge_scores: buffers.edge_scores,
         root: plan.root,
         num_partitions,
         halo_depth,
@@ -528,7 +519,8 @@ fn gather_rows(m: &DenseMatrix, rows: &[usize]) -> Result<DenseMatrix, CirStagEr
     })
 }
 
-/// Replays or computes a partitioned analysis against an exclusive cache.
+/// Replays or computes a partitioned analysis against `cache`: the
+/// uncancellable form of [`analyze_partitioned`] with a cache.
 ///
 /// # Errors
 ///
@@ -542,9 +534,8 @@ pub fn analyze_partitioned_cached(
     assignment: &[u32],
     num_partitions: usize,
     halo_depth: usize,
-    cache: &mut ArtifactCache,
+    cache: &ArtifactCache,
 ) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
     analyze_partitioned(
         config,
         graph,
@@ -553,72 +544,8 @@ pub fn analyze_partitioned_cached(
         assignment,
         num_partitions,
         halo_depth,
-        EcoCache::Exclusive(cache),
+        Some(cache),
         None,
-        &mut buffers,
-    )
-}
-
-/// Uncached partitioned analysis — the cold baseline a warm run must match
-/// bit-for-bit.
-///
-/// # Errors
-///
-/// See [`analyze_partitioned`].
-pub fn analyze_partitioned_cold(
-    config: &CirStagConfig,
-    graph: &Graph,
-    features: Option<&DenseMatrix>,
-    embedding: &DenseMatrix,
-    assignment: &[u32],
-    num_partitions: usize,
-    halo_depth: usize,
-) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
-    analyze_partitioned(
-        config,
-        graph,
-        features,
-        embedding,
-        assignment,
-        num_partitions,
-        halo_depth,
-        EcoCache::Cold,
-        None,
-        &mut buffers,
-    )
-}
-
-/// Partitioned analysis against a shared single-flight cache (the serve
-/// `delta` path), with optional cancellation.
-///
-/// # Errors
-///
-/// See [`analyze_partitioned`].
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_partitioned_shared(
-    config: &CirStagConfig,
-    graph: &Graph,
-    features: Option<&DenseMatrix>,
-    embedding: &DenseMatrix,
-    assignment: &[u32],
-    num_partitions: usize,
-    halo_depth: usize,
-    cache: &SharedArtifactCache,
-    cancel: Option<&CancelToken>,
-) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
-    analyze_partitioned(
-        config,
-        graph,
-        features,
-        embedding,
-        assignment,
-        num_partitions,
-        halo_depth,
-        EcoCache::Shared(cache),
-        cancel,
-        &mut buffers,
     )
 }
 
@@ -846,12 +773,13 @@ mod tests {
         let emb = synth_embedding(100, 4);
         let cfg = small_config();
 
-        let cold = analyze_partitioned_cold(&cfg, &g, None, &emb, &assignment, 4, 1).unwrap();
-        let mut cache = ArtifactCache::new();
-        let first = analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache)
-            .unwrap();
-        let warm = analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache)
-            .unwrap();
+        let cold =
+            analyze_partitioned(&cfg, &g, None, &emb, &assignment, 4, 1, None, None).unwrap();
+        let cache = ArtifactCache::new();
+        let first =
+            analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &cache).unwrap();
+        let warm =
+            analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &cache).unwrap();
 
         assert_eq!(cold.node_scores, first.node_scores);
         assert_eq!(cold.node_scores, warm.node_scores);
@@ -879,18 +807,18 @@ mod tests {
         let emb = synth_embedding(100, 4);
         let cfg = small_config();
 
-        let mut cache = ArtifactCache::new();
-        analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache).unwrap();
+        let cache = ArtifactCache::new();
+        analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &cache).unwrap();
 
         // Edit deep inside quadrant 0.
         let edited = g.map_weights(|_, e| if e.u == 0 && e.v == 1 { 2.0 } else { e.weight });
-        let warm =
-            analyze_partitioned_cached(&cfg, &edited, None, &emb, &assignment, 4, 1, &mut cache)
-                .unwrap();
+        let warm = analyze_partitioned_cached(&cfg, &edited, None, &emb, &assignment, 4, 1, &cache)
+            .unwrap();
         assert_eq!(warm.recomputed(), vec![0], "only quadrant 0 recomputes");
 
         // And the spliced result matches a cold run of the edited design.
-        let cold = analyze_partitioned_cold(&cfg, &edited, None, &emb, &assignment, 4, 1).unwrap();
+        let cold =
+            analyze_partitioned(&cfg, &edited, None, &emb, &assignment, 4, 1, None, None).unwrap();
         assert_eq!(cold.node_scores, warm.node_scores);
         assert_eq!(cold.edge_scores, warm.edge_scores);
         let cold_json = EcoReportExport::from_report(&cold).to_json().unwrap();
@@ -922,7 +850,8 @@ mod tests {
         let assignment = quadrants(8);
         let emb = synth_embedding(64, 4);
         let cfg = small_config();
-        let report = analyze_partitioned_cold(&cfg, &g, None, &emb, &assignment, 4, 1).unwrap();
+        let report =
+            analyze_partitioned(&cfg, &g, None, &emb, &assignment, 4, 1, None, None).unwrap();
         let export = EcoReportExport::from_report(&report);
         let json = export.to_json().unwrap();
         let back = EcoReportExport::from_json(&json).unwrap();

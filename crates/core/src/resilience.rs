@@ -205,8 +205,9 @@ pub struct RunDiagnostics {
     /// Non-fatal warnings, in the order they were raised.
     pub warnings: Vec<String>,
     /// Per-stage artifact-cache status, in execution order. Empty for
-    /// uncached runs ([`crate::CirStag::analyze`]); populated by
-    /// [`crate::CirStag::analyze_cached`] and [`crate::analyze_sweep`].
+    /// uncached runs ([`crate::CirStag::analyze`]); populated by runs with
+    /// a cache ([`crate::CirStag::analyze_cached`],
+    /// [`crate::CirStag::analyze_with`]).
     pub cache: Vec<StageCacheRecord>,
     /// Approximate-kNN diagnostics, one per manifold stage that used an
     /// approximate method; empty when Phase 2 searched exactly.

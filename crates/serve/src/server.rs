@@ -18,7 +18,7 @@
 //!   panics mid-job is caught at the [`std::panic::catch_unwind`] boundary,
 //!   the client gets a typed `500`, and the supervisor spawns a fresh
 //!   worker — the process never dies with a request on the wire.
-//! - All workers share one [`SharedArtifactCache`] (single-flighted, crash
+//! - All workers share one [`ArtifactCache`] (single-flighted, crash
 //!   safe on disk) and one [`DesignStore`], so identical netlists across
 //!   tenants train and analyze once.
 //!
@@ -36,8 +36,8 @@ use crate::protocol::{
 use crate::ServeError;
 use cirstag::failpoint as fail;
 use cirstag::{
-    analyze_partitioned_shared, ArtifactCache, CancelToken, CirStag, CirStagConfig, CirStagError,
-    FailurePolicy, PartitionedReport, SharedArtifactCache, StabilityReport,
+    analyze_partitioned, ArtifactCache, CancelToken, CirStag, CirStagConfig, CirStagError,
+    FailurePolicy, PartitionedReport, StabilityReport,
 };
 use cirstag_circuit::{apply_delta, partition_graph, NetlistDelta, PartitionConfig};
 use cirstag_embed::KnnMethod;
@@ -106,7 +106,7 @@ struct Shared {
     queue: AdmissionQueue<Job>,
     gate: OverloadGate,
     stats: ServerStats,
-    cache: SharedArtifactCache,
+    cache: ArtifactCache,
     designs: DesignStore,
     shutdown: AtomicBool,
     local: SocketAddr,
@@ -169,7 +169,7 @@ impl Server {
             queue: AdmissionQueue::new(config.queue_capacity),
             gate: OverloadGate::new(config.downgrade_high, config.downgrade_low),
             stats: ServerStats::default(),
-            cache: SharedArtifactCache::new(cache),
+            cache,
             designs: DesignStore::new(config.design_capacity),
             shutdown: AtomicBool::new(false),
             local,
@@ -513,11 +513,11 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
                     num_eigenpairs: s,
                     ..config
                 };
-                let report = CirStag::new(cfg).analyze_shared(
+                let report = CirStag::new(cfg).analyze_with(
                     &design.graph,
                     Some(&design.features),
                     &design.embedding,
-                    &shared.cache,
+                    Some(&shared.cache),
                     Some(&job.cancel),
                 );
                 match report {
@@ -571,11 +571,11 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
             &job.cancel,
         ),
         _ => {
-            let report = CirStag::new(config).analyze_shared(
+            let report = CirStag::new(config).analyze_with(
                 &design.graph,
                 Some(&design.features),
                 &design.embedding,
-                &shared.cache,
+                Some(&shared.cache),
                 Some(&job.cancel),
             );
             match report {
@@ -648,7 +648,7 @@ fn handle_delta(
     let Some(features) = outcome.features else {
         return Response::error(req.id, CODE_INTERNAL, "delta lost the feature matrix");
     };
-    let report = analyze_partitioned_shared(
+    let report = analyze_partitioned(
         &config,
         &outcome.graph,
         Some(&features),
@@ -656,7 +656,7 @@ fn handle_delta(
         &partitioning.assignment,
         partitioning.num_partitions,
         partitioning.halo_depth,
-        &shared.cache,
+        Some(&shared.cache),
         Some(cancel),
     );
     match report {

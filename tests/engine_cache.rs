@@ -11,8 +11,8 @@
 //! `num_threads` (results are thread-count independent).
 
 use cirstag_suite::core::{
-    ArtifactCache, CirStag, CirStagConfig, FailurePolicy, FallbackEvent, SharedArtifactCache,
-    StabilityReport,
+    analyze_partitioned, analyze_partitioned_cached, ArtifactCache, CirStag, CirStagConfig,
+    EcoReportExport, FailurePolicy, FallbackEvent, PartitionedReport, StabilityReport,
 };
 use cirstag_suite::graph::Graph;
 use cirstag_suite::linalg::DenseMatrix;
@@ -91,8 +91,8 @@ fn assert_bit_identical(cold: &StabilityReport, warm: &StabilityReport) {
     );
 }
 
-/// Two tenants racing on the same fingerprint through a
-/// [`SharedArtifactCache`] must deduplicate single-flight: each cacheable
+/// Two tenants racing on the same fingerprint through one
+/// [`ArtifactCache`] must deduplicate single-flight: each cacheable
 /// stage is computed exactly once across both runs (5 misses total), the
 /// other run replays it (5 hits total), and both reports are bit-identical
 /// to a cold, uncached run.
@@ -117,7 +117,7 @@ fn shared_cache_concurrent_tenants_compute_once_and_replay_identically() {
         .analyze(&g, None, &emb)
         .expect("cold reference run");
 
-    let shared = std::sync::Arc::new(SharedArtifactCache::default());
+    let shared = std::sync::Arc::new(ArtifactCache::default());
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
     let mut handles = Vec::new();
     for _ in 0..2 {
@@ -128,7 +128,7 @@ fn shared_cache_concurrent_tenants_compute_once_and_replay_identically() {
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             CirStag::new(config)
-                .analyze_shared(&g, None, &emb, &shared, None)
+                .analyze_with(&g, None, &emb, Some(&shared), None)
                 .expect("shared run")
         }));
     }
@@ -143,6 +143,92 @@ fn shared_cache_concurrent_tenants_compute_once_and_replay_identically() {
     assert_eq!(hits, 5, "the other tenant replayed every cacheable stage");
     for r in &reports {
         assert_bit_identical(&cold, r);
+    }
+}
+
+/// Two partitioned runs racing through one [`ArtifactCache`] deduplicate
+/// per partition and stage: together they compute one cold fill (4
+/// partitions × 5 cacheable stages), replay the same number, and both
+/// splice reports bit-identical to a cache-less partitioned run.
+#[test]
+fn shared_cache_concurrent_partitioned_runs_compute_once_and_replay_identically() {
+    const PARTITIONS: usize = 4;
+    let side = 10;
+    let mut edges = Vec::new();
+    for r in 0..side {
+        for c in 0..side {
+            let u = r * side + c;
+            // Id-dependent weights keep the quadrant subgraphs distinct, so
+            // no two partitions share a stage fingerprint.
+            let w = 1.0 + ((u * 7) % 5) as f64 * 0.25;
+            if c + 1 < side {
+                edges.push((u, u + 1, w));
+            }
+            if r + 1 < side {
+                edges.push((u, u + side, 1.0));
+            }
+        }
+    }
+    let g = std::sync::Arc::new(Graph::from_edges(side * side, &edges).expect("grid"));
+    let emb = std::sync::Arc::new(synth_embedding(side * side, 4, 0.9));
+    let assignment: std::sync::Arc<Vec<u32>> = std::sync::Arc::new(
+        (0..side * side)
+            .map(|i| (u32::from(i / side >= side / 2) << 1) | u32::from(i % side >= side / 2))
+            .collect(),
+    );
+    let config = CirStagConfig {
+        embedding_dim: 6,
+        knn_k: 6,
+        num_eigenpairs: 4,
+        num_threads: 1,
+        ..Default::default()
+    };
+
+    let cold = analyze_partitioned(
+        &config,
+        &g,
+        None,
+        &emb,
+        &assignment,
+        PARTITIONS,
+        1,
+        None,
+        None,
+    )
+    .expect("cold reference run");
+
+    let shared = std::sync::Arc::new(ArtifactCache::default());
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let mut handles = Vec::new();
+    for _ in 0..2 {
+        let g = std::sync::Arc::clone(&g);
+        let emb = std::sync::Arc::clone(&emb);
+        let assignment = std::sync::Arc::clone(&assignment);
+        let shared = std::sync::Arc::clone(&shared);
+        let barrier = std::sync::Arc::clone(&barrier);
+        handles.push(std::thread::spawn(move || {
+            barrier.wait();
+            analyze_partitioned_cached(&config, &g, None, &emb, &assignment, PARTITIONS, 1, &shared)
+                .expect("shared partitioned run")
+        }));
+    }
+    let reports: Vec<PartitionedReport> = handles
+        .into_iter()
+        .map(|h| h.join().expect("tenant thread"))
+        .collect();
+
+    let hits: usize = reports.iter().map(PartitionedReport::cache_hits).sum();
+    let misses: usize = reports.iter().map(PartitionedReport::cache_misses).sum();
+    assert_eq!(misses, PARTITIONS * 5, "one cold fill across both runs");
+    assert_eq!(hits, PARTITIONS * 5, "the other run replayed it");
+    let cold_json = EcoReportExport::from_report(&cold)
+        .to_json()
+        .expect("cold export");
+    for r in &reports {
+        assert_eq!(r.node_scores, cold.node_scores);
+        assert_eq!(r.edge_scores, cold.edge_scores);
+        let json = EcoReportExport::from_report(r).to_json().expect("export");
+        assert_eq!(json, cold_json, "spliced report differs from the cold run");
     }
 }
 
@@ -196,17 +282,17 @@ proptest! {
             scale.to_bits()
         ));
         std::fs::remove_dir_all(&disk).ok();
-        let mut cache = ArtifactCache::new().with_disk_dir(&disk);
+        let cache = ArtifactCache::new().with_disk_dir(&disk);
 
         let warm_first = CirStag::new(base)
-            .analyze_cached(&g, feats, &emb, &mut cache)
+            .analyze_cached(&g, feats, &emb, &cache)
             .expect("warm first");
         prop_assert_eq!(warm_first.timings.cache_hits, 0, "first cached run is all misses");
         prop_assert_eq!(warm_first.timings.cache_misses, 5);
         assert_bit_identical(&cold_first, &warm_first);
 
         let warm_second = CirStag::new(second)
-            .analyze_cached(&g, feats, &emb, &mut cache)
+            .analyze_cached(&g, feats, &emb, &cache)
             .expect("warm second");
         // Phase-1 embedding and both Phase-2 manifolds replay; the Phase-3
         // geig + dmd stages recompute (unless both configs coincide).
@@ -220,9 +306,9 @@ proptest! {
 
         // A second replay of the same config hits every cacheable stage,
         // even through a fresh cache restored from the disk layer alone.
-        let mut fresh = ArtifactCache::new().with_disk_dir(&disk);
+        let fresh = ArtifactCache::new().with_disk_dir(&disk);
         let replayed = CirStag::new(second)
-            .analyze_cached(&g, feats, &emb, &mut fresh)
+            .analyze_cached(&g, feats, &emb, &fresh)
             .expect("disk replay");
         prop_assert_eq!(replayed.timings.cache_hits, 5, "disk layer misses");
         prop_assert_eq!(replayed.timings.cache_misses, 0);
